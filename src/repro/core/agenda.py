@@ -27,10 +27,9 @@ class Agenda:
         # Insertion-ordered (dict, not set): select() already breaks
         # ties with a total order, but iterating notifications in
         # arrival order makes every agenda walk — including diagnostic
-        # inspection — reproducible run-to-run.  The sharded
-        # propagation path relies on notify() being called only from
-        # the serial apply/merge phase, in original token order, so
-        # this arrival order is identical to serial execution.
+        # inspection — reproducible run-to-run.  notify() is called
+        # in token-routing order, so the arrival order is fixed by the
+        # transition's Δ-set.
         self._notified: dict[str, None] = {}
 
     def notify(self, rule: CompiledRule) -> None:

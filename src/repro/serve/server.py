@@ -19,6 +19,10 @@ from repro.errors import ArielError
 from repro.serve import protocol
 from repro.serve.service import RuleService
 
+#: seconds between the accept loop's shutdown checks; bounds how long
+#: :meth:`RuleServer.stop` waits (``serve_forever`` defaults to 0.5 s)
+_POLL_INTERVAL = 0.05
+
 
 class _ConnectionHandler(socketserver.StreamRequestHandler):
     """One client connection = one session, served line by line."""
@@ -65,6 +69,7 @@ class RuleServer:
         self._server.rule_server = self
         self._thread = threading.Thread(
             target=self._server.serve_forever,
+            kwargs={"poll_interval": _POLL_INTERVAL},
             name="repro-serve-accept", daemon=True)
         self._thread.start()
         return self.address

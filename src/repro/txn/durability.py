@@ -63,12 +63,12 @@ class DurabilityManager:
                  retry_backoff: float = 0.01, sleep=time.sleep,
                  mode: str = "fresh", quiesce=None):
         self.db = db
-        #: merge-then-flush ordering hook: called at the top of every
+        #: route-then-flush ordering hook: called at the top of every
         #: :meth:`flush_boundary`, before the buffered record is
         #: written.  The database points this at the transition hooks'
-        #: ``flush_tokens`` so any deferred token propagation —
-        #: including a sharded batch's parallel match and deterministic
-        #: merge — settles *before* the boundary's WAL record goes out.
+        #: ``flush_tokens`` so token routing deferred by
+        #: ``batch_tokens`` settles *before* the boundary's WAL record
+        #: goes out.
         #: Propagation never journals (mutations journal at heap-change
         #: time, ahead of routing), so the quiesce can only add network
         #: state, never reorder or extend the record being flushed.
@@ -196,8 +196,8 @@ class DurabilityManager:
 
     def flush_boundary(self, *, sync: bool = True) -> None:
         """Write the buffered transition (if any) as one WAL record,
-        after quiescing any deferred token propagation (merge-then-
-        flush; see :attr:`quiesce`)."""
+        after quiescing any deferred token propagation (see
+        :attr:`quiesce`)."""
         if self.crashed:
             return
         if self.quiesce is not None:

@@ -78,6 +78,19 @@ class TestDatabaseSurface:
         with pytest.raises(ArielError):
             Database(network="bogus")
 
+    def test_retired_parallel_workers_keyword(self, tmp_path):
+        db = Database(parallel_workers=0,
+                      durable_path=tmp_path / "state")
+        db.execute("create t (a = int4)")
+        db.execute("append t(a = 1)")
+        db.close()
+        recovered = Database.recover(tmp_path / "state",
+                                     parallel_workers=0)
+        assert recovered.relation_rows("t") == [(1,)]
+        recovered.close()
+        with pytest.raises(ArielError, match="sharded propagation"):
+            Database(parallel_workers=2)
+
     def test_query_requires_retrieve(self):
         db = Database()
         db.execute("create t (a = int4)")

@@ -71,6 +71,20 @@ class TestEngineStats:
         assert NULL_STATS.snapshot() == {}
 
 
+class TestRoutingCounters:
+    def test_note_tokens_routed(self):
+        stats = EngineStats()
+        stats.note_tokens_routed()
+        stats.note_tokens_routed(5, batches=1)
+        assert stats.get("tokens.routed") == 6
+        assert stats.get("tokens.batches") == 1
+
+    def test_note_tokens_routed_disabled(self):
+        stats = EngineStats(enabled=False)
+        stats.note_tokens_routed(5, batches=1)
+        assert stats.get("tokens.routed") == 0
+
+
 class TestTraceHub:
     def test_on_emit_off(self):
         hub = TraceHub()

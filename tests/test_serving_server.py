@@ -137,6 +137,23 @@ def test_status_endpoint(server):
         assert not status["stopped"]
 
 
+def test_stop_returns_promptly():
+    import time
+    from repro import Database
+    from repro.serve import RuleService
+    service = RuleService(db=Database())
+    rule_server = RuleServer(service=service)
+    try:
+        start = time.perf_counter()
+        for _ in range(5):
+            rule_server.start()
+            rule_server.stop()
+        elapsed = time.perf_counter() - start
+    finally:
+        service.shutdown(close_db=True)
+    assert elapsed < 1.0, f"five start/stop cycles took {elapsed:.2f}s"
+
+
 def test_sessions_close_with_connections(server):
     with _client(server) as client:
         client.ping()
